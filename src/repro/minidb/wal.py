@@ -39,7 +39,7 @@ discarded; a checksum mismatch or framing break anywhere else raises
 :class:`RecoveryError` with structured diagnostics (segment, offset,
 expected/actual CRC) — or, with ``salvage=True``, quarantines the
 corrupt suffix and recovers the committed prefix.  A v1 single-file
-JSON-lines log found at the base path is adopted into segment 1 on open.
+JSON-lines log found at the base path is refused with ``reason="legacy"``.
 """
 
 from __future__ import annotations

@@ -258,27 +258,36 @@ class ObservabilityHub:
         """Register (or replace) a component's health provider."""
         self._health[component] = provider
 
-    def health_report(self) -> dict[str, Any]:
-        """Aggregate every component's health into one readiness report.
+    def health_report(
+        self, components: Iterable[str] | None = None
+    ) -> dict[str, Any]:
+        """Aggregate component health into one readiness report.
 
-        Overall status is ``ok`` only when every component reports
-        ``ok``; a provider that raises is reported as ``error`` rather
-        than failing the endpoint.
+        ``components`` names the providers to evaluate (names with no
+        registered provider are skipped); ``None`` evaluates them all.
+        This is the one place a health check is narrowed, so a probe
+        pays only for the components it reads.  Overall status is
+        ``ok`` only when every evaluated component reports ``ok``; a
+        provider that raises is reported as ``error`` rather than
+        failing the endpoint.
         """
-        components: dict[str, Any] = {}
+        report: dict[str, Any] = {}
         overall = "ok"
-        for name, provider in self._health.items():
+        for name in self._health if components is None else components:
+            provider = self._health.get(name)
+            if provider is None:
+                continue
             try:
                 info = provider()
             except Exception as error:  # noqa: BLE001 - report, don't die
                 info = {"status": "error", "error": str(error)}
             if info.get("status", "ok") != "ok":
                 overall = "degraded"
-            components[name] = info
+            report[name] = info
         return {
             "status": overall,
             "generated_at": self.clock.now(),
-            "components": components,
+            "components": report,
         }
 
     def _agents_health(self) -> dict[str, Any]:
@@ -528,11 +537,6 @@ class ObservabilityHub:
                     "workflow_filter_requests_total",
                     help="WorkflowFilter requests per handling mode",
                     mode=mode,
-                )
-                self.registry.counter(
-                    "workflow_filter_requests_total",
-                    help="WorkflowFilter requests per handling mode",
-                    mode=mode,
                 ).set(count)
 
         self.registry.add_collector(collect)
@@ -555,18 +559,14 @@ class ObservabilityHub:
         self.registry.add_collector(collect)
 
         def health() -> dict[str, Any]:
-            from repro.minidb.predicates import EQ
-
+            # O(1) and read-free: this provider gates the filter's
+            # readiness, which runs on every start, authorize and insert.
             info: dict[str, Any] = {
                 "status": "ok",
                 "checks": engine.check_count,
                 "last_event_sequence": engine.events.last_sequence,
                 "events_dropped": engine.events.dropped,
             }
-            if engine.db.has_table("Workflow"):
-                info["running_workflows"] = engine.db.count(
-                    "Workflow", EQ("status", "running")
-                )
             if self.audit is not None:
                 info["audit_records"] = self.audit.count()
                 info["audit_write_errors"] = self.audit.write_errors
@@ -664,7 +664,7 @@ class ObservabilityHub:
             if dlq_depth:
                 # Quarantined messages are an operator signal, not a
                 # reason for the filter to refuse traffic: degrade the
-                # component (health goes 503, like a burning SLO) but
+                # component (health goes 503, like a firing alert) but
                 # keep readiness explicitly true.
                 info["status"] = "degraded"
                 info["ready"] = True
@@ -846,17 +846,16 @@ def hub_readiness(
     may degrade without losing readiness by reporting an explicit
     ``ready: True`` alongside its non-ok status (the broker does this
     for a populated DLQ): ``/workflow/health`` still answers 503, but
-    the filter keeps serving.
+    the filter keeps serving.  Only ``components`` are evaluated; their
+    providers read no database rows, so the probe costs the same at
+    any history depth.
     """
-    report = hub.health_report()
-    bad = []
-    for name in components:
-        info = report["components"].get(name)
-        if info is None:
-            continue
-        ready = info.get("ready", info.get("status", "ok") == "ok")
-        if not ready:
-            bad.append(f"{name}={info.get('status')}")
+    report = hub.health_report(components)
+    bad = [
+        f"{name}={info.get('status')}"
+        for name, info in report["components"].items()
+        if not info.get("ready", info.get("status", "ok") == "ok")
+    ]
     if bad:
         return False, f"unhealthy components: {', '.join(bad)}"
     return True, ""

@@ -10,7 +10,6 @@ the rest of the system carries no profiling cost beyond a handful of
   attribution, pushed down into the broker and minidb;
 * :mod:`~repro.obs.prof.sampler` — collapsed-stack wall-clock sampler;
 * :mod:`~repro.obs.prof.retain` — tail-based slow-trace retention;
-* :mod:`~repro.obs.prof.slo` — latency SLOs and error-budget burn rate;
 * :mod:`~repro.obs.prof.witness` — runtime lock-order witness asserting
   observed acquisition orders against the static conlint graph;
 * :mod:`~repro.obs.prof.profiler` — the facade tying them together.
@@ -24,7 +23,6 @@ from repro.obs.prof.locks import LockProfiler, ProfiledLock
 from repro.obs.prof.profiler import Profiler, install_profiling
 from repro.obs.prof.retain import SlowTraceRetainer
 from repro.obs.prof.sampler import StackSampler
-from repro.obs.prof.slo import SLOPolicy, SLOTracker
 from repro.obs.prof.witness import LockOrderWitness
 
 __all__ = [
@@ -37,6 +35,4 @@ __all__ = [
     "install_profiling",
     "SlowTraceRetainer",
     "StackSampler",
-    "SLOPolicy",
-    "SLOTracker",
 ]

@@ -9,7 +9,7 @@ Subcommands::
 ``report`` assembles the full protein lab with profiling enabled,
 drives ``--requests`` start_workflow requests through the filter →
 engine → broker → agent path (a pump thread plays the agent pool), and
-prints the profiler's attribution/contention/SLO report.  Mirrors the
+prints the profiler's attribution/contention report.  Mirrors the
 ``repro.analysis`` CLI conventions: ``--json`` switches to JSON on
 stdout, and the exit code is 0 when the run produced attributable
 traces, 1 when attribution came up empty (something is broken in the
@@ -24,15 +24,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.obs.prof.slo import SLOPolicy
-
 
 def run_report(
     requests: int,
     as_json: bool,
     flamegraph: bool,
     sampler: bool,
-    slo_threshold_ms: float,
 ) -> int:
     from repro.workloads.protein import build_protein_lab
 
@@ -42,14 +39,6 @@ def run_report(
             journal_path=str(Path(tmp) / "broker.journal"),
             profiling=True,
             sampler=sampler or flamegraph,
-            slos=(
-                SLOPolicy(
-                    operation="protein_creation",
-                    threshold_ms=slo_threshold_ms,
-                    objective=0.95,
-                    window=max(requests, 10),
-                ),
-            ),
         )
         profiler = lab.obs.profiler
         assert profiler is not None
@@ -113,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the wall-clock stack sampler during the workload",
     )
-    report.add_argument(
-        "--slo-threshold-ms",
-        type=float,
-        default=50.0,
-        help="latency SLO threshold tracked for protein_creation",
-    )
     return parser
 
 
@@ -129,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         as_json=args.as_json,
         flamegraph=args.flamegraph,
         sampler=args.sampler,
-        slo_threshold_ms=args.slo_threshold_ms,
     )
 
 

@@ -14,21 +14,22 @@ installed:
 * hub-fed histograms start recording ``(value, trace_id)`` exemplars
   and the commit hook records ``db.commit`` spans;
 * the workflow filter feeds finished requests into the
-  :class:`~repro.obs.prof.slo.SLOTracker` and the
   :class:`~repro.obs.prof.retain.SlowTraceRetainer`;
 * optionally a :class:`~repro.obs.prof.sampler.StackSampler` thread
   collects collapsed stacks.
 
 :meth:`Profiler.report` assembles everything — per-pattern latency
 attribution (:class:`~repro.obs.prof.attribution.CriticalPathAnalyzer`
-over the tracer's archive), lock contention, SLO burn rates, slow
-traces, exemplars and sampler output — into one JSON-friendly dict,
-served by ``GET /workflow/profile`` and the ``repro.obs.prof`` CLI.
+over the tracer's archive), lock contention, slow traces, exemplars and
+sampler output — into one JSON-friendly dict, served by
+``GET /workflow/profile`` and the ``repro.obs.prof`` CLI.  Latency
+objectives are not a profiling concern: they are alert rules on a
+``metric:<histogram>:p<NN>`` source (see :mod:`repro.obs.watch.alerts`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.prof.attribution import (
     ASYNC_STAGE_ORDER,
@@ -38,7 +39,6 @@ from repro.obs.prof.attribution import (
 from repro.obs.prof.locks import LockProfiler
 from repro.obs.prof.retain import SlowTraceRetainer
 from repro.obs.prof.sampler import StackSampler
-from repro.obs.prof.slo import SLOPolicy, SLOTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.hub import ObservabilityHub
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Profiler:
-    """Aggregates attribution, contention, SLO and slow-trace state."""
+    """Aggregates attribution, contention and slow-trace state."""
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class Profiler:
         lock_profiler: LockProfiler | None = None,
         sampler: StackSampler | None = None,
         retainer: SlowTraceRetainer | None = None,
-        slo_tracker: SLOTracker | None = None,
         commit_spans: bool = True,
         witness: "LockOrderWitness | None" = None,
     ) -> None:
@@ -65,7 +64,6 @@ class Profiler:
         self.witness = witness
         self.sampler = sampler
         self.retainer = retainer or SlowTraceRetainer(hub.exporter)
-        self.slo_tracker = slo_tracker or SLOTracker()
         #: Whether the commit hook records ``db.commit`` spans.
         self.commit_spans = commit_spans
         self.analyzer = CriticalPathAnalyzer(hub.exporter)
@@ -79,14 +77,11 @@ class Profiler:
         trace_id: str | None = None,
         pattern: str | None = None,
     ) -> None:
-        """One finished request: feed SLOs and the slow-trace retainer.
+        """One finished request: feed the slow-trace retainer.
 
         Never raises — profiling must not take the request path down.
         """
         try:
-            self.slo_tracker.observe(operation, duration_ms)
-            if pattern is not None:
-                self.slo_tracker.observe(pattern, duration_ms)
             key = f"{operation}:{pattern}" if pattern else operation
             self.retainer.offer(key, duration_ms, trace_id)
         except Exception:  # noqa: BLE001 - observability is best-effort
@@ -109,7 +104,6 @@ class Profiler:
                 if self.lock_profiler is not None
                 else []
             ),
-            "slo": self.slo_tracker.report(),
             "slow_traces": self.retainer.report(),
             "exemplars": {
                 name: registry.family_exemplars(name)
@@ -179,17 +173,6 @@ class Profiler:
                         f" {holder['hold_ms']:8.3f} ms"
                         f" ({holder['share'] * 100.0:.1f}%)"
                     )
-        if report["slo"]:
-            lines.append("== SLO burn rates ==")
-            for operation, status in report["slo"].items():
-                verdict = "ok" if status["ok"] else "BURNING"
-                lines.append(
-                    f"  {operation}: {verdict}, "
-                    f"burn {status['burn_rate']:.2f}, "
-                    f"{status['violations']}/{status['window_count']} "
-                    f"over {status['threshold_ms']:.1f} ms "
-                    f"(objective {status['objective']:.3f})"
-                )
         if report["slow_traces"]:
             lines.append("== slowest retained traces ==")
             for operation, entries in report["slow_traces"].items():
@@ -228,7 +211,6 @@ def install_profiling(
     hub: "ObservabilityHub",
     db=None,
     broker=None,
-    slos: Iterable[SLOPolicy] = (),
     sampler: bool = False,
     sample_interval_s: float = 0.01,
     commit_spans: bool = True,
@@ -239,14 +221,17 @@ def install_profiling(
 
     * ``db`` / ``broker`` — their locks are swapped for profiled
       wrappers (skipped with ``profile_locks=False``);
-    * ``slos`` — :class:`SLOPolicy` objects to track; registers an
-      ``slo`` health component (never part of readiness gating);
     * ``sampler=True`` — start the collapsed-stack wall-clock sampler;
     * ``witness`` — a :class:`~repro.obs.prof.witness.LockOrderWitness`
       (or ``True`` for a fresh one against the installed tree's static
       graph): every profiled lock reports its acquisition order to it,
       and the witness verdict joins :meth:`Profiler.report` under
       ``lock_order``.  Requires ``profile_locks``.
+
+    A latency objective is not a profiling option: it is an ordinary
+    alert rule on a quantile source, e.g. ``AlertRule(name=...,
+    source="metric:http_request_latency_ms:p99", threshold=50.0)``
+    passed to :func:`repro.obs.watch.install_watch`.
 
     Returns the (new or already-installed) :class:`Profiler`.
     """
@@ -275,18 +260,14 @@ def install_profiling(
             interval_s=sample_interval_s, clock=hub.clock
         )
         stack_sampler.start()
-    tracker = SLOTracker(policies=slos)
     profiler = Profiler(
         hub,
         lock_profiler=lock_profiler,
         sampler=stack_sampler,
         retainer=SlowTraceRetainer(hub.exporter),
-        slo_tracker=tracker,
         commit_spans=commit_spans,
         witness=lock_witness,
     )
     hub.profiler = profiler
     hub.exemplars_enabled = True
-    if tracker.policies():
-        hub.register_health("slo", tracker.health)
     return profiler

@@ -14,7 +14,8 @@ multi-day workflows actually asks:
   wall time per Fig. 4 state against per-pattern baselines;
 * *who gets told?* — the :class:`~repro.obs.watch.alerts.AlertEngine`
   evaluates declarative rules (stuck instances, DLQ depth, expired
-  leases, queue depths, SLO burn, any metric family) through a
+  leases, queue depths, any metric family or histogram quantile —
+  which is how a latency objective is stated) through a
   pending→firing→resolved machine with for-duration hysteresis;
 * *does the record survive the process?* — the
   :class:`~repro.obs.watch.export.TelemetryExporter` streams alert
@@ -250,23 +251,6 @@ def install_watch(
                 sum(1 for row in manager.leases.snapshot() if row["expired"])
             ),
         )
-        alerts.add_source(
-            "lease_expiries_total", lambda: float(manager.leases.expiries)
-        )
-
-    def slo_burning() -> float:
-        profiler = hub.profiler
-        if profiler is None:
-            return 0.0
-        return float(
-            sum(
-                1
-                for status in profiler.slo_tracker.report().values()
-                if not status["ok"]
-            )
-        )
-
-    alerts.add_source("slo_burning", slo_burning)
     if with_default_rules:
         for rule in default_rules(broker=broker, manager=manager):
             alerts.add_rule(rule)

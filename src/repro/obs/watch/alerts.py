@@ -1,9 +1,17 @@
 """Declarative alert rules with hysteresis over live system signals.
 
-An :class:`AlertRule` names a *source* (a registered callable, or
-``metric:<family>`` to read the metrics registry directly), a threshold
-and a comparison, plus ``for_s`` — how long the condition must hold
-before the alert *fires*.  The :class:`AlertEngine` evaluates every
+An :class:`AlertRule` names a *source* (a registered callable,
+``metric:<family>`` to read a counter/gauge family of the metrics
+registry directly, or ``metric:<histogram>:p<NN>`` for a quantile over
+a histogram's bounded reservoir), a threshold and a comparison, plus
+``for_s`` — how long the condition must hold before the alert *fires*.
+
+A latency objective is a quantile rule: "99 % of requests within
+50 ms" is ``metric:http_request_latency_ms:p99 > 50``.  With
+nearest-rank quantiles, the q-quantile of n observations exceeds T
+exactly when more than ``n * (1 - q)`` of them exceed T — that is,
+when the error-budget burn rate (violation fraction over ``1 - q``)
+is above 1.  The :class:`AlertEngine` evaluates every
 rule on demand and walks each through the state machine::
 
     inactive --breach--> pending --held for_s--> firing
@@ -26,9 +34,10 @@ suite drives the full lifecycle under a ``ManualClock``.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.resilience.clock import Clock
@@ -49,6 +58,9 @@ COMPARISONS: dict[str, Callable[[float, float], bool]] = {
 #: Prefix selecting a metrics-registry family as a rule source.
 METRIC_SOURCE_PREFIX = "metric:"
 
+#: Quantile suffix of a ``metric:<histogram>:p<NN>`` source (percent).
+_QUANTILE_SUFFIX = re.compile(r"p(\d+(?:\.\d+)?)")
+
 #: Transitions kept in the in-memory history ring.
 HISTORY_LIMIT = 256
 
@@ -58,7 +70,8 @@ class AlertRule:
     """One declarative alerting condition."""
 
     name: str
-    #: Registered source name, or ``metric:<family>`` for the registry.
+    #: Registered source name, or ``metric:<family>`` /
+    #: ``metric:<histogram>:p<NN>`` for the registry.
     source: str
     threshold: float
     comparison: str = ">"
@@ -145,8 +158,19 @@ class AlertEngine:
 
     def _resolve(self, source: str) -> float:
         if source.startswith(METRIC_SOURCE_PREFIX):
-            family = source[len(METRIC_SOURCE_PREFIX):]
-            return self.hub.registry.family_value(family)
+            family, __, suffix = source[len(METRIC_SOURCE_PREFIX):].partition(
+                ":"
+            )
+            if not suffix:
+                return self.hub.registry.family_value(family)
+            match = _QUANTILE_SUFFIX.fullmatch(suffix)
+            percent = float(match.group(1)) if match else 0.0
+            if not 0.0 < percent <= 100.0:
+                raise ValueError(
+                    f"bad quantile suffix {suffix!r} in {source!r}; "
+                    "expected p<NN> with 0 < NN <= 100"
+                )
+            return self.hub.registry.family_quantile(family, percent / 100.0)
         with self._lock:
             fn = self._sources.get(source)
         if fn is None:

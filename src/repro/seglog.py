@@ -236,19 +236,22 @@ class SegmentedLog:
     def handle(self):
         return self._handle
 
-    # -- open / adopt -------------------------------------------------------
+    # -- open ---------------------------------------------------------------
 
     def _load(self) -> None:
         if self.manifest_path.exists():
             self._load_manifest()
             self._clean_strays()
-            if self.path.exists():
-                # An interrupted legacy adoption left the v1 file behind
-                # after its converted segment was registered; the
-                # manifest is the source of truth.
-                self.path.unlink()
         elif self.path.exists():
-            self._adopt_legacy()
+            # A v1 single-file log: refuse it rather than open an empty
+            # log beside it and silently lose its records.
+            raise self.error_cls(
+                f"{self.path} is a v1 single-file log; only segmented "
+                "logs (a manifest plus segments) can be opened",
+                path=str(self.path),
+                offset=0,
+                reason="legacy",
+            )
 
     def _load_manifest(self) -> None:
         raw = self.manifest_path.read_bytes().strip()
@@ -267,67 +270,6 @@ class SegmentedLog:
         self._segments = sorted(int(s) for s in record.get("segments", []))
         self._checkpoint = record.get("checkpoint") or None
         self._next_seq = int(record.get("next_seq", 1))
-
-    def _adopt_legacy(self) -> None:
-        """Migrate a v1 single-file JSON-lines log into segment 1.
-
-        The v1 torn-final-line tolerance carries over; mid-file
-        corruption is diagnosed (or salvaged) just like a v2 segment.
-        """
-        records: list[Any] = []
-        quarantine_from: int | None = None
-        offset = 0
-        pending: tuple[int, bytes] | None = None
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                start = offset
-                offset += len(raw)
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                if pending is not None:
-                    break  # corruption followed by more data: not a tear
-                try:
-                    records.append(json.loads(stripped.decode("utf-8")))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    pending = (start, stripped)
-        if pending is not None and pending[0] + len(pending[1]) < offset:
-            # Mid-file corruption in the legacy log.
-            if not self.salvage:
-                raise self.error_cls(
-                    f"corrupt legacy record at {self.path} "
-                    f"offset {pending[0]}",
-                    path=str(self.path),
-                    offset=pending[0],
-                    reason="legacy",
-                )
-            quarantine_from = pending[0]
-        seg = self.segment_path(1)
-        with seg.open("w", encoding="utf-8") as out:
-            for index, record in enumerate(records, 1):
-                out.write(frame_record(index, record))
-            out.flush()
-            os.fsync(out.fileno())
-        if quarantine_from is not None:
-            qpath = Path(str(self.path) + ".quarantined")
-            with self.path.open("rb") as src:
-                src.seek(quarantine_from)
-                qpath.write_bytes(src.read())
-            self.salvage_report = {
-                "path": str(self.path),
-                "offset": quarantine_from,
-                "reason": "legacy",
-                "quarantined": [qpath.name],
-            }
-        self._segments = [1]
-        self._segment_counts = {1: len(records)}
-        self._checkpoint = None
-        self._next_seq = len(records) + 1
-        self.records_since_checkpoint = len(records)
-        with self._state_lock:
-            self._swap_manifest_locked()
-        self.path.unlink()
-        self._scanned = True
 
     def _clean_strays(self) -> None:
         """Remove files the manifest does not reference (crash leftovers)."""

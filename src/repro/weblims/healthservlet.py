@@ -11,10 +11,11 @@ Two probe styles:
 * ``GET /workflow/health`` — *readiness*: 200 when every component is
   ``ok``, 503 when any is degraded, body always the full JSON report;
 * ``GET /workflow/health?probe=live`` — *liveness*: 200 whenever the
-  container can run the servlet at all, regardless of component state.
+  container can run the servlet at all, regardless of component state;
+  no provider is evaluated.
 
-``?component=broker`` narrows the body to one component (status code
-still reflects that component alone).
+``?component=broker`` evaluates and returns that one component (status
+code reflects that component alone).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class HealthServlet(Servlet):
     def do_get(
         self, request: HttpRequest, container: "WebContainer"
     ) -> HttpResponse:
-        report = self.hub.health_report()
         if request.param("probe") == "live":
             body = {"status": "ok", "probe": "live"}
             return HttpResponse(
@@ -51,6 +51,7 @@ class HealthServlet(Servlet):
             )
         component = request.param("component")
         if component is not None and component != "":
+            report = self.hub.health_report((component,))
             info = report["components"].get(component)
             if info is None:
                 return HttpResponse.error(
@@ -67,6 +68,7 @@ class HealthServlet(Servlet):
                 body=json.dumps(body, default=str),
                 content_type="application/json",
             )
+        report = self.hub.health_report()
         status = 200 if report["status"] == "ok" else 503
         return HttpResponse(
             status=status,

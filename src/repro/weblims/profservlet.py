@@ -1,8 +1,8 @@
 """The profiling servlet (``GET /workflow/profile``).
 
 Serves the :class:`repro.obs.prof.profiler.Profiler` report — latency
-attribution per pattern, lock contention, SLO burn rates, slow traces,
-exemplars and (when running) sampler output.  Registered by
+attribution per pattern, lock contention, slow traces, exemplars and
+(when running) sampler output.  Registered by
 ``install_observability`` alongside the metrics/health servlets, but
 profiling itself stays opt-in: until ``install_profiling`` attaches a
 profiler to the hub, the endpoint answers ``{"enabled": false}``.

@@ -378,7 +378,6 @@ def build_protein_lab(
     sync_policy: str = "always",
     group_window_s: float = 0.0,
     profiling: bool = False,
-    slos=(),
     sampler: bool = False,
     witness: bool = False,
     watch: bool = False,
@@ -406,10 +405,9 @@ def build_protein_lab(
 
     ``profiling`` (requires ``observability``) turns on the
     ``repro.obs.prof`` layer — latency attribution, lock contention
-    profiling, exemplars, slow-trace retention and (with ``slos``,
-    an iterable of :class:`~repro.obs.prof.slo.SLOPolicy`) burn-rate
-    tracking; ``sampler`` additionally starts the collapsed-stack
-    wall-clock sampler thread; ``witness`` attaches a
+    profiling, exemplars and slow-trace retention; ``sampler``
+    additionally starts the collapsed-stack wall-clock sampler thread;
+    ``witness`` attaches a
     :class:`~repro.obs.prof.witness.LockOrderWitness` to the profiled
     locks, asserting observed acquisition order against conlint's
     static lock graph (``lab.obs.profiler.witness.check()``).
@@ -419,7 +417,10 @@ def build_protein_lab(
     stuck-instance detection (tuned by ``stuck_policy``), the alert
     engine (stock rules plus ``watch_rules``), the per-instance flight
     recorder and, when ``telemetry_path`` is given, a JSON-lines
-    telemetry sink for alert transitions and metrics snapshots.
+    telemetry sink for alert transitions and metrics snapshots.  A
+    latency objective is one of those rules, on a quantile source:
+    ``AlertRule(name=..., source="metric:http_request_latency_ms:p99",
+    threshold=...)``.
     """
     app = build_expdb(
         wal_path=wal_path,
@@ -473,7 +474,6 @@ def build_protein_lab(
                 lab.obs,
                 db=app.db,
                 broker=broker,
-                slos=slos,
                 sampler=sampler,
                 witness=witness,
             )

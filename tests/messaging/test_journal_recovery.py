@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import JournalError
 from repro.messaging import MessageBroker
+from repro.seglog import frame_record
 
 
 @pytest.fixture
@@ -110,10 +111,16 @@ class TestPersistence:
         assert excinfo.value.detail()["segment"] == 1
 
     def test_unknown_record_type_raises(self, journal):
-        # A v1 single-file journal is adopted on open; replay then
-        # rejects the unknown record type.
-        journal.write_text('{"type": "mystery"}\n')
-        with pytest.raises(JournalError):
+        # A well-framed record whose type replay does not know.
+        broker = MessageBroker(journal)
+        broker.declare_queue("q")
+        broker.send("q", "x")
+        broker.close()
+        segment = tail_segment(journal)
+        last_seq = int(segment.read_text().splitlines()[-1].split(" ")[1])
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write(frame_record(last_seq + 1, {"type": "mystery"}))
+        with pytest.raises(JournalError, match="unknown journal record type"):
             MessageBroker(journal)
 
     def test_persistent_flag(self, journal):

@@ -4,7 +4,7 @@ handling.
 Covers the segment/manifest machinery through the public ``Database``
 and ``WriteAheadLog`` surfaces: rotation at thresholds, streaming O(1)
 replay, the fsync-the-parent-directory rule for atomic swaps,
-structured corruption diagnostics, opt-in salvage, v1 log adoption, and
+structured corruption diagnostics, opt-in salvage, v1 log refusal, and
 crash-exactness at every checkpoint fault point.
 """
 
@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from repro.errors import FaultInjected, RecoveryError
-from repro.minidb import EQ, Column, ColumnType, Database, TableSchema
+from repro.minidb import Column, ColumnType, Database, TableSchema
 from repro.minidb.engine import CheckpointPolicy
 from repro.minidb.wal import WriteAheadLog
 from repro.resilience import FaultPlan, ManualClock
@@ -210,47 +210,19 @@ class TestCorruption:
         ]
 
 
-class TestLegacyAdoption:
-    def test_v1_single_file_log_adopted_on_open(self, wal_path):
-        wal_path.write_text(
-            json.dumps(
-                {"type": "create_table", "schema": schema().describe()}
-            )
-            + "\n"
-            + json.dumps(
-                {
-                    "type": "txn",
-                    "ops": [
-                        {
-                            "op": "insert",
-                            "table": "T",
-                            "row": {"id": 1, "value": "old"},
-                        }
-                    ],
-                }
-            )
-            + "\n"
-        )
-        db = Database(wal_path)
-        assert [row["value"] for row in rows_of(db)] == ["old"]
-        db.insert("T", {"value": "new"})
-        db.close()
-        assert not wal_path.exists()  # adopted into segments
-        assert (wal_path.parent / (wal_path.name + ".manifest")).exists()
-        reopened = Database(wal_path)
-        assert [row["value"] for row in rows_of(reopened)] == ["old", "new"]
-
-    def test_v1_torn_final_line_tolerated_during_adoption(self, wal_path):
-        wal_path.write_text(
-            json.dumps(
-                {"type": "create_table", "schema": schema().describe()}
-            )
-            + "\n"
-            + '{"type": "txn", "ops": [{"op": "ins'
-        )
-        db = Database(wal_path)
-        assert db.tables() == ["T"]
-        assert rows_of(db) == []
+class TestLegacyLog:
+    def test_v1_single_file_log_refused_on_open(self, wal_path):
+        v1 = json.dumps({"type": "create_table", "schema": schema().describe()})
+        wal_path.write_text(v1 + "\n")
+        with pytest.raises(RecoveryError) as excinfo:
+            Database(wal_path)
+        assert excinfo.value.detail()["reason"] == "legacy"
+        # Nothing was opened beside the v1 file: no manifest, no segment,
+        # and the v1 records are left exactly as found.
+        assert wal_path.read_text() == v1 + "\n"
+        assert sorted(p.name for p in wal_path.parent.iterdir()) == [
+            wal_path.name
+        ]
 
 
 class TestCheckpointCrash:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.core.events import EventLog
 from repro.messaging.broker import MessageBroker
-from repro.obs import ObservabilityHub, install_observability
+from repro.obs import ObservabilityHub, hub_readiness, install_observability
 from repro.weblims import build_expdb
 
 
@@ -290,6 +292,74 @@ class TestHealth:
         assert report["status"] == "degraded"
         ready, __ = hub_readiness(hub)
         assert ready is True
+
+
+def _recording(calls, name, status="ok"):
+    def provider():
+        calls.append(name)
+        return {"status": status}
+
+    return provider
+
+
+class TestReadinessProbe:
+    """Health checks evaluate only what they gate or serve."""
+
+    def test_readiness_reads_no_rows_at_any_history_depth(self):
+        from repro.workloads.protein import build_protein_lab
+
+        lab = build_protein_lab()
+        stats = lab.app.db.stats
+
+        def probe_cost():
+            reads, scanned = stats.reads, stats.rows_scanned
+            assert hub_readiness(lab.obs) == (True, "")
+            return stats.reads - reads, stats.rows_scanned - scanned
+
+        assert probe_cost() == (0, 0)
+        for __ in range(20):
+            workflow = lab.engine.start_workflow("protein_creation")
+            status = lab.run_to_completion(workflow["workflow_id"])
+            assert status == "completed"
+        assert probe_cost() == (0, 0)
+        engine = lab.obs.health_report(["engine"])["components"]["engine"]
+        assert engine["audit_records"] == lab.app.db.row_count("WFAudit")
+        assert engine["audit_records"] > 0
+
+    def test_readiness_evaluates_only_its_components(self):
+        hub = ObservabilityHub()
+        calls: list[str] = []
+        hub.register_health("engine", _recording(calls, "engine"))
+        hub.register_health("alerts", _recording(calls, "alerts", "degraded"))
+        assert hub_readiness(hub) == (True, "")
+        assert calls == ["engine"]
+
+    def test_live_probe_evaluates_no_provider(self):
+        app = build_expdb()
+        hub = install_observability(expdb=app)
+        calls: list[str] = []
+
+        def broken():
+            calls.append("broken")
+            raise RuntimeError("probe failed")
+
+        hub.register_health("broken", broken)
+        response = app.get("/workflow/health", probe="live")
+        assert response.status == 200
+        assert calls == []
+
+    def test_component_query_evaluates_only_that_component(self):
+        app = build_expdb()
+        hub = install_observability(expdb=app)
+        calls: list[str] = []
+        for name in ("broker", "engine", "database", "container"):
+            hub.register_health(name, _recording(calls, name))
+        response = app.get("/workflow/health", component="broker")
+        assert response.status == 200
+        assert json.loads(response.body)["component"] == "broker"
+        assert calls == ["broker"]
+        assert app.get("/workflow/health", component="nope").status == 404
+        assert calls == ["broker"]
 
 
 class TestLogMetrics:

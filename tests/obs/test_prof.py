@@ -1,4 +1,4 @@
-"""Profiling layer: attribution, lock contention, retention, SLO burn.
+"""Profiling layer: attribution, lock contention, retention, sampling.
 
 The attribution tests drive a :class:`ManualClock` so every span
 duration is exact and the "stages sum to the root duration" invariant
@@ -21,8 +21,6 @@ from repro.obs.prof import (
     CriticalPathAnalyzer,
     LockProfiler,
     ProfiledLock,
-    SLOPolicy,
-    SLOTracker,
     SlowTraceRetainer,
     StackSampler,
     install_profiling,
@@ -341,64 +339,6 @@ class TestSlowTraceRetainer:
         assert retainer.report() == {}
 
 
-class TestSLOTracker:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(operation="x", threshold_ms=0.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(operation="x", threshold_ms=5.0, objective=1.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(operation="x", threshold_ms=5.0, window=0)
-
-    def test_burn_rate_over_a_sliding_window(self):
-        tracker = SLOTracker(
-            policies=[
-                SLOPolicy(
-                    operation="start",
-                    threshold_ms=10.0,
-                    objective=0.9,
-                    window=10,
-                )
-            ]
-        )
-        for __ in range(8):
-            tracker.observe("start", 5.0)
-        tracker.observe("start", 50.0)
-        tracker.observe("start", 50.0)
-        status = tracker.report()["start"]
-        assert status["violations"] == 2
-        assert status["violation_rate"] == pytest.approx(0.2)
-        # Budget is 10% of the window; two violations burn it 2x over.
-        assert status["burn_rate"] == pytest.approx(2.0)
-        assert status["budget_remaining"] == 0
-        assert status["ok"] is False
-        health = tracker.health()
-        assert health["status"] == "degraded"
-        assert health["burning"] == ["start"]
-
-    def test_within_budget_is_ok(self):
-        tracker = SLOTracker(
-            policies=[
-                SLOPolicy(
-                    operation="start",
-                    threshold_ms=10.0,
-                    objective=0.5,
-                    window=10,
-                )
-            ]
-        )
-        for value in (1.0, 2.0, 50.0, 3.0):
-            tracker.observe("start", value)
-        status = tracker.report()["start"]
-        assert status["ok"] is True
-        assert tracker.health()["status"] == "ok"
-
-    def test_unknown_operation_is_a_no_op(self):
-        tracker = SLOTracker()
-        tracker.observe("nothing", 1.0)
-        assert tracker.report() == {}
-
-
 class TestStackSampler:
     def test_sample_once_captures_this_thread(self):
         sampler = StackSampler()
@@ -471,17 +411,7 @@ class TestEndToEnd:
     def lab(self):
         from repro.workloads.protein import build_protein_lab
 
-        lab = build_protein_lab(
-            profiling=True,
-            slos=(
-                SLOPolicy(
-                    operation="protein_creation",
-                    threshold_ms=10_000.0,
-                    objective=0.9,
-                    window=20,
-                ),
-            ),
-        )
+        lab = build_protein_lab(profiling=True)
         for __ in range(5):
             response = lab.app.post(
                 "/user", workflow_action="start", pattern="protein_creation"
@@ -519,7 +449,7 @@ class TestEndToEnd:
         assert total > 0
         assert abs(accounted - total) <= 0.1 * total
 
-    def test_lock_and_slo_sections_populated(self, lab):
+    def test_lock_section_populated(self, lab):
         report = lab.obs.profiler.report()
         lock_names = {entry["name"] for entry in report["locks"]}
         assert "minidb.mutex" in lock_names
@@ -531,16 +461,6 @@ class TestEndToEnd:
         )
         assert minidb["acquisitions"] > 0
         assert minidb["holders"]
-        assert report["slo"]["protein_creation"]["window_count"] >= 5
-
-    def test_slo_health_component_does_not_gate_readiness(self, lab):
-        from repro.obs.hub import READINESS_COMPONENTS, hub_readiness
-
-        assert "slo" not in READINESS_COMPONENTS
-        report = lab.obs.health_report()
-        assert "slo" in report["components"]
-        ready, __ = hub_readiness(lab.obs)
-        assert ready is True
 
     def test_profile_servlet_serves_report_and_trace_view(self, lab):
         response = lab.app.get("/workflow/profile")
@@ -575,7 +495,6 @@ class TestEndToEnd:
         text = lab.obs.profiler.render_text()
         assert "latency attribution" in text
         assert "lock contention" in text
-        assert "SLO burn rates" in text
         assert "slowest retained traces" in text
 
 

@@ -356,6 +356,78 @@ class TestAlertEngine:
             engine.add_source("metric:boom", lambda: 1.0)
 
 
+class TestLatencyObjective:
+    """A latency objective is a quantile rule: ``p99 > T`` holds exactly
+    when more than 1 % of observations exceed ``T`` (burn rate > 1)."""
+
+    @staticmethod
+    def objective(threshold=50.0, quantile="p99"):
+        return AlertRule(
+            name="latency-objective",
+            source=f"metric:http_request_latency_ms:{quantile}",
+            threshold=threshold,
+        )
+
+    @staticmethod
+    def observe(hub, value, times=1, path="/user"):
+        histogram = hub.registry.histogram("http_request_latency_ms", path=path)
+        for __ in range(times):
+            histogram.observe(value)
+
+    def test_p99_rule_fires_past_one_percent_and_resolves(self):
+        engine, hub, __ = make_engine()
+        engine.add_rule(self.objective())
+        self.observe(hub, 5.0, times=99)
+        assert engine.evaluate() == []
+        # Two slow requests of 101 (on another path: the quantile spans
+        # the whole family) are more than 1 %.
+        self.observe(hub, 80.0, times=2, path="/workflow")
+        transitions = engine.evaluate()
+        assert [t["to"] for t in transitions] == ["pending", "firing"]
+        assert transitions[-1]["value"] == pytest.approx(80.0)
+        # 2 of 200 is back within the budget.
+        self.observe(hub, 5.0, times=99)
+        assert [t["to"] for t in engine.evaluate()] == ["resolved"]
+
+    def test_exactly_one_percent_over_stays_inactive(self):
+        engine, hub, __ = make_engine()
+        engine.add_rule(self.objective())
+        self.observe(hub, 5.0, times=198)
+        self.observe(hub, 80.0, times=2)
+        assert engine.evaluate() == []
+        assert engine.report()["rules"][0]["value"] == pytest.approx(5.0)
+
+    def test_malformed_quantile_suffix_is_a_source_error(self):
+        engine, hub, __ = make_engine()
+        self.observe(hub, 80.0)
+        for suffix in ("pxx", "p0", "p101", "99", "p99:extra"):
+            engine.add_rule(
+                AlertRule(
+                    name=f"bad-{suffix}",
+                    source=f"metric:http_request_latency_ms:{suffix}",
+                    threshold=1.0,
+                )
+            )
+        engine.add_rule(self.objective(threshold=1.0, quantile="p99.9"))
+        transitions = engine.evaluate()
+        assert {t["rule"] for t in transitions} == {"latency-objective"}
+        report = {r["name"]: r for r in engine.report()["rules"]}
+        assert report["latency-objective"]["error"] is None
+        for suffix in ("pxx", "p0", "p101", "99", "p99:extra"):
+            assert "bad quantile suffix" in report[f"bad-{suffix}"]["error"]
+            assert report[f"bad-{suffix}"]["status"] == "inactive"
+
+    def test_unknown_histogram_quantile_reads_zero(self):
+        engine, __, __ = make_engine()
+        engine.add_rule(
+            AlertRule(name="ghost", source="metric:nope:p99", threshold=0.0)
+        )
+        assert engine.evaluate() == []
+        [rule] = engine.report()["rules"]
+        assert rule["value"] == 0.0
+        assert rule["error"] is None
+
+
 class TestTelemetryExporter:
     def test_offer_drops_oldest_when_full(self):
         exporter = TelemetryExporter(clock=ManualClock(), capacity=3)
